@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use std::hint::black_box;
 
-use jade_core::graph::DepGraph;
+use jade_core::engine::{EngineScratch, ShardedEngine};
 use jade_core::ids::{Placement, TaskId};
 use jade_core::prelude::*;
 use jade_core::spec::SpecBuilder;
@@ -18,54 +18,54 @@ use jade_transport::{DataLayout, Message, MsgKind, PortDecoder, PortEncoder, Por
 fn engine_task_lifecycle(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.throughput(Throughput::Elements(1));
-    g.bench_function("create+finish independent task", |b| {
+    g.bench_function("alloc+attach+start+finish independent task", |b| {
         b.iter_batched_ref(
             || {
-                let mut g = DepGraph::new();
-                let o = g.create_object(TaskId::ROOT);
-                (g, o)
+                let eng = ShardedEngine::new();
+                let o = eng.create_object(TaskId::ROOT);
+                (eng, o)
             },
-            |(g, o)| {
+            |(eng, o)| {
                 let mut sb = SpecBuilder::new();
                 sb.rd_wr(*o);
-                let (tid, _) = g
-                    .create_task(TaskId::ROOT, "t", sb.build().0, Placement::Any)
-                    .unwrap();
-                g.start_task(tid);
-                g.finish_task(tid);
+                let tid = eng.alloc_task(TaskId::ROOT, "t", Placement::Any);
+                eng.attach_task(tid, sb.build().0).unwrap();
+                eng.start_task(tid);
+                eng.finish_task(tid);
             },
             BatchSize::SmallInput,
         )
     });
     g.bench_function("access check (granted)", |b| {
-        let mut g = DepGraph::new();
-        let o = g.create_object(TaskId::ROOT);
+        let eng = ShardedEngine::new();
+        let o = eng.create_object(TaskId::ROOT);
         let mut sb = SpecBuilder::new();
         sb.rd_wr(o);
-        let (tid, _) = g.create_task(TaskId::ROOT, "t", sb.build().0, Placement::Any).unwrap();
-        g.start_task(tid);
+        let tid = eng.alloc_task(TaskId::ROOT, "t", Placement::Any);
+        eng.attach_task(tid, sb.build().0).unwrap();
+        eng.start_task(tid);
         b.iter(|| {
-            black_box(g.check_access(tid, o, AccessKind::Read).unwrap());
+            black_box(eng.check_access(tid, o, AccessKind::Read).unwrap());
         })
     });
     g.bench_function("with_cont convert+retire", |b| {
         b.iter_batched_ref(
             || {
-                let mut g = DepGraph::new();
-                let o = g.create_object(TaskId::ROOT);
+                let eng = ShardedEngine::new();
+                let o = eng.create_object(TaskId::ROOT);
                 let mut sb = SpecBuilder::new();
                 sb.df_rd(o);
-                let (t1, _) =
-                    g.create_task(TaskId::ROOT, "t1", sb.build().0, Placement::Any).unwrap();
-                g.start_task(t1);
-                (g, o, t1)
+                let t1 = eng.alloc_task(TaskId::ROOT, "t1", Placement::Any);
+                eng.attach_task(t1, sb.build().0).unwrap();
+                eng.start_task(t1);
+                (eng, o, t1)
             },
-            |(g, o, t1)| {
-                let (blocked, _) = g
+            |(eng, o, t1)| {
+                let (blocked, _) = eng
                     .with_cont(*t1, vec![(*o, jade_core::spec::ContOp::ToRd)])
                     .unwrap();
                 assert!(!blocked);
-                g.with_cont(*t1, vec![(*o, jade_core::spec::ContOp::NoRd)]).unwrap();
+                eng.with_cont(*t1, vec![(*o, jade_core::spec::ContOp::NoRd)]).unwrap();
             },
             BatchSize::SmallInput,
         )
@@ -100,34 +100,6 @@ fn threaded_task_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-fn sharded_engine_lifecycle(c: &mut Criterion) {
-    // The sharded engine's counterpart of the `engine` group above:
-    // the same one-task lifecycle through the lock-table commit path
-    // the work-stealing executor uses.
-    use jade_core::engine::ShardedEngine;
-    let mut g = c.benchmark_group("sharded-engine");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("alloc+attach+start+finish independent task", |b| {
-        b.iter_batched_ref(
-            || {
-                let eng = ShardedEngine::new();
-                let o = eng.create_object(TaskId::ROOT);
-                (eng, o)
-            },
-            |(eng, o)| {
-                let mut sb = SpecBuilder::new();
-                sb.rd_wr(*o);
-                let tid = eng.alloc_task(TaskId::ROOT, "t", Placement::Any);
-                eng.attach_task(tid, sb.build().0).unwrap();
-                eng.start_task(tid);
-                eng.finish_task(tid);
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
-}
-
 /// Create/finish churn at a fixed live-set size: the steady-state
 /// regime the generational slot slab is built for. Every iteration
 /// retires the oldest live task and creates a replacement through the
@@ -135,7 +107,6 @@ fn sharded_engine_lifecycle(c: &mut Criterion) {
 /// zero slab growth and zero transient allocation — the measured cost
 /// is pure slot-recycling plus queue maintenance.
 fn slot_recycle_churn(c: &mut Criterion) {
-    use jade_core::engine::{EngineScratch, ShardedEngine};
     use std::collections::VecDeque;
     let mut g = c.benchmark_group("slot-recycle");
     g.throughput(Throughput::Elements(1));
@@ -340,7 +311,6 @@ fn serial_elision_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     engine_task_lifecycle,
-    sharded_engine_lifecycle,
     slot_recycle_churn,
     dispatch_throughput,
     forkjoin_throughput,

@@ -1,12 +1,37 @@
-//! The sharded dependency engine: [`DepGraph`](crate::graph::DepGraph)
-//! semantics without a global lock.
+//! The dependency engine: Jade's serial-semantics state machine.
 //!
-//! [`ShardedEngine`] implements the same serial-semantics state
-//! machine as `DepGraph` — per-object serial-order declaration queues,
-//! hierarchical task paths, §4.4 coverage, `with-cont`, commuting
-//! updates — but partitions all mutable state so that concurrent
-//! executors (the `jade-threads` work-stealing pool) never rendezvous
-//! on one mutex:
+//! [`ShardedEngine`] is a *passive* data structure driven by every
+//! executor — the serial elision in [`crate::serial`], the
+//! work-stealing pool in `jade-threads`, the discrete-event simulator
+//! in `jade-sim` and the socket backend in `jade-net`. It owns the
+//! per-object declaration queues, the task records and the
+//! hierarchical serial-order bookkeeping, and it answers the only
+//! question that matters for correctness: *which tasks may run (or
+//! resume) now without violating the serial semantics of the original
+//! program?*
+//!
+//! ## Serial order of hierarchical tasks
+//!
+//! Every task carries a *path*: the root is `[]`, the k-th child of a
+//! task with path `p` is `p ++ [k]`. Serial execution order of two
+//! distinct tasks is the lexicographic order of paths **except** that
+//! an ancestor sorts *after* its descendants — a child's body runs at
+//! its creation point, before the remainder of the parent. Queue
+//! nodes are kept sorted by this order; inserting a new child's
+//! declaration immediately before its parent's node preserves it
+//! (children are created in index order).
+//!
+//! When a task needs a queue position on an object its parent never
+//! declared (possible for objects created dynamically by other
+//! subtrees), the engine materializes zero-rights *anchor* nodes for
+//! the ancestor chain at the correct serial position; anchors never
+//! block or grant anything, they only mark where a subtree's accesses
+//! belong.
+//!
+//! ## Concurrency
+//!
+//! All mutable state is partitioned so that concurrent executors
+//! never rendezvous on one mutex:
 //!
 //! * **Shard table.** Object queues live in `SHARD_COUNT` shards, each
 //!   its own [`QueueArena`] behind its own mutex; an object's shard is
@@ -36,7 +61,10 @@
 //!   path) are reset in place, so the steady-state task lifecycle
 //!   performs no allocation and the slab's high-water mark
 //!   (`peak_task_slots`) is bounded by the live-set, not the task
-//!   count.
+//!   count. Each slab shard keeps its slots in doubling segments that
+//!   are allocated once and never move, so looking a slot up is a
+//!   bounds check against the shard's published length plus the
+//!   generation check — no lock and no reference count.
 //! * **Readiness counting.** Instead of re-scanning a task's
 //!   declarations on every queue change (which would need all its
 //!   shards at once), each task carries an atomic `missing` counter of
@@ -56,25 +84,75 @@
 //! serial semantics never depended on `Ready` meaning "still enabled",
 //! only on "was fully enabled once and will be again".
 //!
-//! Statistics are [`AtomicStats`]; the dynamic task-graph trace is
-//! captured per-shard (edges) plus an engine-level creation log
-//! (tasks — the slab reuses ids, so creation order must be recorded
-//! at allocation time) and stitched into one [`TaskGraphTrace`] when
-//! taken.
+//! Statistics are [`AtomicStats`]. When tracing, the engine keeps a
+//! creation log (tasks — the slab reuses ids, so creation order must
+//! be recorded at allocation time) and an edge log (each attach
+//! appends its dependence edges in declaration order), stitched into
+//! one [`TaskGraphTrace`] when taken.
 
 use crate::fasthash::FastMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 
 use crate::error::{JadeError, Result};
-use crate::graph::{path_precedes, AccessStatus, TaskState, Wake};
 use crate::ids::{ObjectId, Placement, TaskId};
 use crate::queue::{NodeRef, QueueArena, Transition};
 use crate::spec::{AccessKind, ContOp, DeclRights, DeclState, Declaration};
 use crate::stats::AtomicStats;
 use crate::trace::{TaskGraphTrace, TraceEdge};
+
+/// Lifecycle of a task inside the engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TaskState {
+    /// Created; some immediate declaration not yet enabled.
+    Pending,
+    /// All immediate declarations enabled; may start executing.
+    Ready,
+    /// Body executing.
+    Running,
+    /// Body suspended mid-execution waiting for a declaration to be
+    /// enabled (a blocking `with-cont` conversion or a revoked access
+    /// being re-acquired).
+    Blocked,
+    /// Body finished and queue positions released.
+    Finished,
+}
+
+/// Scheduling notification produced by engine transitions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wake {
+    /// A pending task became ready to start.
+    Ready(TaskId),
+    /// A blocked (suspended) task may resume.
+    Unblocked(TaskId),
+}
+
+/// Result of an access check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessStatus {
+    /// The access may proceed immediately.
+    Granted,
+    /// The task must suspend; the engine recorded what it waits for
+    /// and will emit [`Wake::Unblocked`] when the wait is satisfied.
+    MustWait,
+}
+
+/// `true` iff the task with path `a` strictly precedes the task with
+/// path `b` in the serial execution order. An ancestor sorts *after*
+/// all of its descendants.
+pub fn path_precedes(a: &[u32], b: &[u32]) -> bool {
+    let min = a.len().min(b.len());
+    for i in 0..min {
+        if a[i] != b[i] {
+            return a[i] < b[i];
+        }
+    }
+    // One is a prefix of the other (or equal): the longer path is the
+    // descendant and precedes its ancestor.
+    a.len() > b.len()
+}
 
 /// Number of object-queue shards. A power of two comfortably above
 /// typical worker counts: collisions cost contention, not correctness.
@@ -91,17 +169,33 @@ fn shard_of(oid: ObjectId) -> usize {
 /// concurrent creators rarely contend on one slab lock.
 pub const TASK_SHARDS: usize = 16;
 
+/// Slots in a slab shard's first segment; segment `k` holds
+/// `SEG0 << k` slots.
+const SEG0: usize = 8;
+
+/// Segments per slab shard: enough to cover every 32-bit slot index
+/// (`SEG0 * (2^SEGMENTS - 1) * TASK_SHARDS >= 2^32`).
+const SEGMENTS: usize = 26;
+
+/// The segment holding position `pos` of a slab shard, and the offset
+/// within it.
+#[inline]
+fn segment_of(pos: usize) -> (usize, usize) {
+    let k = (pos / SEG0 + 1).ilog2() as usize;
+    (k, pos - SEG0 * ((1 << k) - 1))
+}
+
 /// One shard: the declaration queues of every object mapped here,
-/// plus (when tracing) the per-object logical access history and the
-/// dependence edges discovered on these objects.
+/// plus the per-object logical access history.
 #[derive(Debug, Default)]
 struct Shard {
     arena: QueueArena,
     /// Serial access history per object: (last writer, readers since
-    /// that write) — same structure as `DepGraph`'s. Feeds the
-    /// `conflicts` counter always and the trace when one is attached.
+    /// that write). Unlike the live queue (whose completed entries are
+    /// gone), it captures the *logical* dependences of the serial
+    /// order; feeds the `conflicts` counter always and the trace when
+    /// one is attached.
     hist: FastMap<ObjectId, (Option<TaskId>, Vec<TaskId>)>,
-    edges: Vec<TraceEdge>,
     /// Reusable transition scratch for the recompute→apply step of
     /// every operation that mutates this shard's queues; only touched
     /// with the shard lock held.
@@ -129,9 +223,9 @@ struct TaskIdent {
 }
 
 /// One slot of the generational task slab. The slot itself is
-/// allocated once (`Arc`, kept alive by its slab shard) and then
-/// recycled: identity and interior state are reset in place for each
-/// new occupant, and `gen` is bumped on every recycle so stale
+/// allocated once (in a segment of its slab shard) and then recycled:
+/// identity and interior state are reset in place for each new
+/// occupant, and `gen` is bumped on every recycle so stale
 /// [`TaskId`]s fail validation.
 #[derive(Debug)]
 struct TaskSlot {
@@ -157,12 +251,6 @@ struct TaskSlot {
     cv: Condvar,
     /// Declaration/anchor nodes of this task, in declaration order.
     decls: Mutex<Vec<(ObjectId, NodeRef)>>,
-    /// Bumped whenever a `with-cont` retires one of this task's rights.
-    /// Spec-cache entries keyed on this task as parent record the epoch
-    /// they validated against; a retire can weaken coverage, so an
-    /// epoch mismatch forces re-validation. Conversions (deferred →
-    /// immediate) never weaken coverage and do not bump it.
-    cont_epoch: AtomicU32,
     /// Serial index handed to this task's next child. Atomic (not under
     /// `sync`) so the task-creation hot path allocates a child index
     /// with one uncontended RMW instead of a parent lock round-trip;
@@ -185,7 +273,6 @@ impl TaskSlot {
             sync: Mutex::new(TaskSync { state: TaskState::Pending, waiting: Vec::new() }),
             cv: Condvar::new(),
             decls: Mutex::new(Vec::new()),
-            cont_epoch: AtomicU32::new(0),
             next_child: AtomicU32::new(0),
         }
     }
@@ -196,31 +283,53 @@ impl TaskSlot {
 }
 
 /// One shard of the task slab: the slots whose index maps here and
-/// the free-list of recycled indices awaiting reuse.
-#[derive(Debug, Default)]
+/// the free-list of recycled indices awaiting reuse. Position `p` of
+/// the shard (slot index `p * TASK_SHARDS + shard`) lives in segment
+/// [`segment_of(p)`](segment_of); a segment is allocated once, when
+/// the shard first grows into it, and never moves, so a published
+/// slot can be borrowed for the engine's lifetime without a lock.
+#[derive(Debug)]
 struct TaskShard {
-    slots: RwLock<Vec<Arc<TaskSlot>>>,
+    segments: [OnceLock<Box<[TaskSlot]>>; SEGMENTS],
+    /// Positions published for lookup. Written only under `free`'s
+    /// lock, after the position's segment is initialized.
+    len: AtomicU32,
     free: Mutex<Vec<u32>>,
 }
 
-/// Ways in the per-worker spec cache: direct-mapped on the spec hash.
-/// Sized so loops cycling through a few dozen distinct specs (the
-/// cholesky/water/pmake shape) stay resident; conflict misses cost a
-/// re-validation, never correctness.
-const SPEC_CACHE_WAYS: usize = 64;
+impl TaskShard {
+    fn new() -> Self {
+        TaskShard {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            len: AtomicU32::new(0),
+            free: Mutex::new(Vec::new()),
+        }
+    }
 
-/// One entry of the per-worker spec cache (see
-/// [`ShardedEngine::attach_task_with`]): a validated `(parent, decls)`
-/// pair with the parent's queue positions, good while the parent's
-/// `cont_epoch` is unchanged.
-#[derive(Debug, Default, Clone)]
-struct SpecCacheEntry {
-    valid: bool,
-    parent: Option<TaskId>,
-    epoch: u32,
-    key: u64,
-    decls: Vec<Declaration>,
-    pnodes: Vec<NodeRef>,
+    /// The slot at a published position.
+    fn get(&self, pos: usize) -> Option<&TaskSlot> {
+        if pos >= self.len.load(Ordering::Acquire) as usize {
+            return None;
+        }
+        let (seg, off) = segment_of(pos);
+        self.segments[seg].get().map(|s| &s[off])
+    }
+
+    /// Publish one more position, allocating its segment on first use;
+    /// `shard` is this shard's index. Call with `free` locked (or
+    /// before the engine is shared), so growth is serialized.
+    fn grow(&self, shard: usize) -> &TaskSlot {
+        let pos = self.len.load(Ordering::Relaxed) as usize;
+        let (seg, off) = segment_of(pos);
+        let slots = self.segments[seg].get_or_init(|| {
+            let base = SEG0 * ((1 << seg) - 1);
+            (base..base + (SEG0 << seg))
+                .map(|p| TaskSlot::blank((p * TASK_SHARDS + shard) as u32))
+                .collect()
+        });
+        self.len.store(pos as u32 + 1, Ordering::Release);
+        &slots[off]
+    }
 }
 
 /// A set of jointly held shard guards, acquired in ascending shard
@@ -273,10 +382,7 @@ pub struct EngineScratch {
     converted: Vec<(ObjectId, AccessKind)>,
     touched: Vec<ObjectId>,
     waits: Vec<(ObjectId, AccessKind)>,
-    /// Per-worker spec-hash cache (lazily sized to [`SPEC_CACHE_WAYS`]):
-    /// memoizes `attach_task` validation and parent-node lookup for
-    /// repeated identical specifications from the same parent.
-    spec_cache: Vec<SpecCacheEntry>,
+    edges: Vec<TraceEdge>,
 }
 
 /// The sharded dependency engine. All methods take `&self`: the
@@ -296,6 +402,9 @@ pub struct ShardedEngine {
     /// recycling the slab cannot be iterated to recover creation
     /// order or finished tasks' labels. Only written when tracing.
     trace_log: Mutex<Vec<(TaskId, String)>>,
+    /// Dependence edges, appended per attach in declaration order.
+    /// Only written when tracing.
+    trace_edges: Mutex<Vec<TraceEdge>>,
     next_object: AtomicU64,
     live: AtomicU64,
     /// Counters describing the work the engine performed.
@@ -313,22 +422,21 @@ impl Default for ShardedEngine {
 impl ShardedEngine {
     /// Create an engine with a running root task (the main program).
     pub fn new() -> Self {
-        let root = Arc::new(TaskSlot::blank(0));
+        let task_shards: Box<[TaskShard]> = (0..TASK_SHARDS).map(|_| TaskShard::new()).collect();
+        let root = task_shards[0].grow(0);
         root.sync.lock().state = TaskState::Running;
         root.missing.store(0, Ordering::Relaxed);
         // The root's self-pin is never released, so slot 0 is never
         // recycled and `TaskId::ROOT` stays valid for the whole run.
         root.pins.store(1, Ordering::Relaxed);
         root.ident.write().label.push_str("root");
-        let task_shards: Box<[TaskShard]> =
-            (0..TASK_SHARDS).map(|_| TaskShard::default()).collect();
-        task_shards[0].slots.write().push(root);
         let eng = ShardedEngine {
             shards: (0..SHARD_COUNT).map(|_| Mutex::new(Shard::default())).collect(),
             task_shards,
             alloc_cursor: AtomicU64::new(1),
             slots_total: AtomicU64::new(1),
             trace_log: Mutex::new(Vec::new()),
+            trace_edges: Mutex::new(Vec::new()),
             next_object: AtomicU64::new(0),
             live: AtomicU64::new(0),
             stats: AtomicStats::new(),
@@ -353,25 +461,25 @@ impl ShardedEngine {
         self.tracing.load(Ordering::Acquire)
     }
 
-    /// Stitch the creation log and per-shard edge fragments into one
-    /// trace: tasks in creation order (the slab recycles slots, so
-    /// order comes from the log, not the table) and edges deduplicated
-    /// per from/to pair, exactly as `DepGraph` records them.
+    /// Stitch the creation log and the edge log into one trace: tasks
+    /// in creation order (the slab recycles slots, so order comes from
+    /// the log, not the table) and edges grouped by dependent task in
+    /// creation order, each group in declaration order, deduplicated
+    /// per from/to pair. Sorting by creation order (not by id) makes
+    /// the trace independent of which worker attached which task
+    /// first.
     pub fn take_trace(&self) -> Option<TaskGraphTrace> {
         if !self.tracing() {
             return None;
         }
         let mut tr = TaskGraphTrace::new();
-        for (tid, label) in self.trace_log.lock().iter() {
+        let mut created: FastMap<TaskId, usize> = FastMap::default();
+        for (i, (tid, label)) in self.trace_log.lock().iter().enumerate() {
             tr.task(*tid, label);
+            created.insert(*tid, i);
         }
-        let mut edges = Vec::new();
-        for sh in self.shards.iter() {
-            edges.extend(std::mem::take(&mut sh.lock().edges));
-        }
-        // Canonical order so runs are byte-identical regardless of
-        // which worker recorded which shard's edges first.
-        edges.sort_by_key(|e| (e.to, e.from, e.object, e.kind as u8));
+        let mut edges = std::mem::take(&mut *self.trace_edges.lock());
+        edges.sort_by_key(|e| created.get(&e.to).copied().unwrap_or(usize::MAX));
         for e in edges {
             tr.edge(e);
         }
@@ -381,17 +489,13 @@ impl ShardedEngine {
     /// Look up a task slot, validating the id's generation against the
     /// slot's current occupant. `None` means the id is stale (its task
     /// finished and the slot was recycled) or was never allocated.
-    fn try_slot(&self, t: TaskId) -> Option<Arc<TaskSlot>> {
+    fn try_slot(&self, t: TaskId) -> Option<&TaskSlot> {
         let idx = t.index();
-        let slot = self.task_shards[idx % TASK_SHARDS].slots.read().get(idx / TASK_SHARDS)?.clone();
-        if slot.gen.load(Ordering::Acquire) == t.generation() {
-            Some(slot)
-        } else {
-            None
-        }
+        let slot = self.task_shards[idx % TASK_SHARDS].get(idx / TASK_SHARDS)?;
+        (slot.gen.load(Ordering::Acquire) == t.generation()).then_some(slot)
     }
 
-    fn slot(&self, t: TaskId) -> Arc<TaskSlot> {
+    fn slot(&self, t: TaskId) -> &TaskSlot {
         self.try_slot(t)
             .unwrap_or_else(|| panic!("stale or unknown task id {t} (slot recycled?)"))
     }
@@ -440,6 +544,22 @@ impl ShardedEngine {
     /// slack), not by `total_tasks`.
     pub fn task_slots(&self) -> u64 {
         self.slots_total.load(Ordering::Relaxed)
+    }
+
+    /// The task's declarations: object and current rights (anchors
+    /// excluded), in declaration order. The simulator uses this to
+    /// drive placement and object fetches.
+    pub fn declarations_of(&self, t: TaskId) -> Vec<(ObjectId, DeclRights)> {
+        // Copy the node list out first: the slot's leaf mutex must not
+        // be held while a shard lock is taken.
+        let nodes = self.slot(t).decls.lock().clone();
+        nodes
+            .into_iter()
+            .filter_map(|(oid, nr)| {
+                let rights = self.shard(oid).arena.node(nr).rights;
+                rights.is_declared().then_some((oid, rights))
+            })
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -531,8 +651,10 @@ impl ShardedEngine {
 
     /// Register a new shared object created by `creator`. The creator
     /// receives an implicit immediate `rd_wr` declaration at its serial
-    /// position, and the root its implicit deferred `rd_wr` at the
-    /// queue tail — same layout as `DepGraph::create_object`.
+    /// position (so it can initialize the object and cover its
+    /// children), and the root its implicit deferred `rd_wr` at the
+    /// queue tail (so the main program can always collect results,
+    /// waiting for every task in serial order).
     pub fn create_object(&self, creator: TaskId) -> ObjectId {
         let oid = ObjectId(self.next_object.fetch_add(1, Ordering::Relaxed));
         self.stats.objects_created.fetch_add(1, Ordering::Relaxed);
@@ -562,8 +684,8 @@ impl ShardedEngine {
 
     /// Find the node of `task` on `oid` inside the (locked) shard, or
     /// create one at the task's serial position, materializing
-    /// ancestor anchors as needed. Mirrors `DepGraph`'s logic; all
-    /// queue nodes for `oid` live in this one shard.
+    /// ancestor anchors as needed. If a node already exists, `rights`
+    /// are merged in. All queue nodes for `oid` live in this one shard.
     fn ensure_positioned_node(
         &self,
         sh: &mut Shard,
@@ -678,7 +800,6 @@ impl ShardedEngine {
             s.waiting.clear();
         }
         slot.decls.lock().clear();
-        slot.cont_epoch.store(0, Ordering::Release);
         slot.next_child.store(0, Ordering::Relaxed);
         if self.tracing() {
             self.trace_log.lock().push((tid, label.to_string()));
@@ -696,7 +817,7 @@ impl ShardedEngine {
     /// that shard's free-list and most-recently-retired slots hot in
     /// its cache, while different workers still land on different
     /// shards, so allocation contention stays spread.
-    fn acquire_slot(&self) -> (TaskId, Arc<TaskSlot>) {
+    fn acquire_slot(&self) -> (TaskId, &TaskSlot) {
         thread_local! {
             static HOME_SHARD: std::cell::Cell<usize> =
                 const { std::cell::Cell::new(usize::MAX) };
@@ -710,20 +831,18 @@ impl ShardedEngine {
             v
         });
         let tsh = &self.task_shards[shard_idx];
-        let reused = tsh.free.lock().pop();
-        if let Some(idx) = reused {
-            let slot = tsh.slots.read()[idx as usize / TASK_SHARDS].clone();
+        let mut free = tsh.free.lock();
+        if let Some(idx) = free.pop() {
+            drop(free);
+            let slot = tsh.get(idx as usize / TASK_SHARDS).expect("free slots are published");
             let gen = slot.gen.load(Ordering::Acquire);
             return (TaskId::new(idx, gen), slot);
         }
-        let mut slots = tsh.slots.write();
-        let idx = (slots.len() * TASK_SHARDS + shard_idx) as u32;
-        let slot = Arc::new(TaskSlot::blank(idx));
-        slots.push(slot.clone());
-        drop(slots);
+        let slot = tsh.grow(shard_idx);
+        drop(free);
         let total = self.slots_total.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.observe_slots(total);
-        (TaskId::new(idx, 0), slot)
+        (TaskId::new(slot.index, 0), slot)
     }
 
     /// Drop one pin from `slot`; at zero, recycle the slot (bump its
@@ -731,7 +850,7 @@ impl ShardedEngine {
     /// release to the parent, whose pin this occupant held. Zero pins
     /// implies the task finished (self-pin released) and every child's
     /// slot was already recycled.
-    fn release_pin(&self, slot: Arc<TaskSlot>) {
+    fn release_pin(&self, slot: &TaskSlot) {
         let mut cur = slot;
         loop {
             if cur.pins.fetch_sub(1, Ordering::AcqRel) != 1 {
@@ -778,33 +897,11 @@ impl ShardedEngine {
         let pslot = self.slot(parent);
         self.stats.declarations.fetch_add(decls.len() as u64, Ordering::Relaxed);
 
-        let EngineScratch { wakes, fresh, pnodes, objects, freshrefs, spec_cache, .. } = scratch;
+        let EngineScratch { wakes, fresh, pnodes, objects, freshrefs, edges, .. } = scratch;
         wakes.clear();
         fresh.clear();
         pnodes.clear();
-
-        // Spec-hash cache probe: identical declaration vectors from the
-        // same parent at the same cont-epoch were already validated and
-        // already had their parent queue positions resolved. Epoch and
-        // generation checks make a hit sound: the parent's own node
-        // rights can only be weakened by the parent's own `with-cont`
-        // retires (epoch bump) and its nodes only removed at its own
-        // finish (generation bump on slot reuse) — both on the thread
-        // that owns this scratch.
-        if spec_cache.is_empty() {
-            spec_cache.resize(SPEC_CACHE_WAYS, SpecCacheEntry::default());
-        }
-        let key = crate::spec::spec_hash(decls);
-        let epoch = pslot.cont_epoch.load(Ordering::Relaxed);
-        let way = (key as usize) % SPEC_CACHE_WAYS;
-        let cache_hit = {
-            let e = &spec_cache[way];
-            e.valid
-                && e.parent == Some(parent)
-                && e.epoch == epoch
-                && e.key == key
-                && e.decls == decls
-        };
+        edges.clear();
 
         // Single-declaration specs — the common shape — lock their one
         // shard straight away; only multi-object commits build the
@@ -819,37 +916,13 @@ impl ShardedEngine {
                 self.lock_shards(objects)
             }
         };
-        if cache_hit {
-            self.stats.spec_cache_hits.fetch_add(1, Ordering::Relaxed);
-            pnodes.extend(spec_cache[way].pnodes.iter().map(|&nr| Some(nr)));
-        } else {
-            // Validate before mutating any queue, remembering the
-            // parent's queue position on each object when it already
-            // has one.
-            for d in decls {
-                if !set.get(d.object).arena.has_object(d.object) {
-                    return Err(JadeError::UnknownObject(d.object));
-                }
-                pnodes.push(self.check_coverage(&mut set, parent, &pslot, &ident.label, d)?);
+        // Validate before mutating any queue, remembering the parent's
+        // queue position on each object when it already has one.
+        for d in decls {
+            if !set.get(d.object).arena.has_object(d.object) {
+                return Err(JadeError::UnknownObject(d.object));
             }
-            // Install only when every declaration resolved against the
-            // parent's *own declared* node: ancestor-walk coverage can
-            // be weakened by an ancestor's concurrent with-cont, which
-            // the parent-local epoch cannot see.
-            let cacheable = decls.iter().zip(pnodes.iter()).all(|(d, p)| {
-                p.is_some_and(|nr| set.get(d.object).arena.node(nr).rights.is_declared())
-            });
-            if cacheable {
-                let e = &mut spec_cache[way];
-                e.valid = true;
-                e.parent = Some(parent);
-                e.epoch = epoch;
-                e.key = key;
-                e.decls.clear();
-                e.decls.extend_from_slice(decls);
-                e.pnodes.clear();
-                e.pnodes.extend(pnodes.iter().map(|p| p.expect("cacheable implies Some")));
-            }
+            pnodes.push(self.check_coverage(&mut set, parent, pslot, &ident.label, d)?);
         }
 
         let tracing = self.tracing();
@@ -877,30 +950,33 @@ impl ShardedEngine {
             // an O(queue-depth) predecessor walk.
             let hist = sh.hist.entry(d.object).or_default();
             let mut new_edges = 0u64;
-            let mut edge = |p: TaskId, kind: AccessKind, trace: &mut Vec<TraceEdge>| {
+            let mut edge = |p: TaskId, kind: AccessKind| {
                 if p != tid {
                     new_edges += 1;
                     if tracing {
-                        trace.push(TraceEdge { from: p, to: tid, object: d.object, kind });
+                        edges.push(TraceEdge { from: p, to: tid, object: d.object, kind });
                     }
                 }
             };
             if d.rights.read.is_active() {
                 if let Some(w) = hist.0 {
-                    edge(w, AccessKind::Read, &mut sh.edges);
+                    edge(w, AccessKind::Read);
                 }
             }
             if d.rights.write.is_active() {
                 if let Some(w) = hist.0 {
-                    edge(w, AccessKind::Write, &mut sh.edges);
+                    edge(w, AccessKind::Write);
                 }
-                for i in 0..hist.1.len() {
-                    edge(hist.1[i], AccessKind::Write, &mut sh.edges);
+                for &r in &hist.1 {
+                    edge(r, AccessKind::Write);
                 }
             }
+            // Commuting updates order against reads/writes but not
+            // against each other: the writer history yields an edge;
+            // peer commuters do not.
             if d.rights.commute.is_active() {
                 if let Some(w) = hist.0 {
-                    edge(w, AccessKind::Commute, &mut sh.edges);
+                    edge(w, AccessKind::Commute);
                 }
             }
             if d.rights.write.is_active() {
@@ -935,6 +1011,9 @@ impl ShardedEngine {
             self.apply_transitions(&set.get(oid).trs, wakes);
         }
         drop(set);
+        if tracing && !edges.is_empty() {
+            self.trace_edges.lock().extend_from_slice(edges);
+        }
 
         // Release the creation guard; the 1→0 edge promotes.
         if slot.missing.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -948,9 +1027,11 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Enforce §4.4 coverage against the nearest rights-holding
-    /// ancestor, with the same escape as `DepGraph::check_coverage`
-    /// for objects no ancestor ever declared.
+    /// Enforce §4.4: a child's declaration must be covered by the
+    /// nearest ancestor that holds rights on the object. Subtrees may
+    /// access dynamically created objects that escaped their creator
+    /// (no ancestor holds rights); serial correctness is then ensured
+    /// purely by queue position.
     /// On success returns the parent's own node on `d.object` if it
     /// has one (declared or anchor), so `attach_task` can insert
     /// before it without re-scanning the parent's declaration list.
@@ -1205,11 +1286,6 @@ impl ShardedEngine {
         }
         touched.sort_unstable();
         touched.dedup();
-        if !touched.is_empty() {
-            // A retire weakens this task's rights; invalidate spec-cache
-            // entries that validated children against them.
-            slot.cont_epoch.fetch_add(1, Ordering::Release);
-        }
         for &oid in touched.iter() {
             let sh = set.get(oid);
             sh.trs.clear();
@@ -1380,7 +1456,7 @@ impl ShardedEngine {
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
         for shard in self.task_shards.iter() {
-            for slot in shard.slots.read().iter() {
+            for slot in (0..).map_while(|pos| shard.get(pos)) {
                 let _guard = slot.sync.lock();
                 slot.cv.notify_all();
             }
@@ -1397,6 +1473,7 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::spec::SpecBuilder;
+    use std::sync::Arc;
 
     fn decls(f: impl FnOnce(&mut SpecBuilder)) -> Vec<Declaration> {
         let mut b = SpecBuilder::new();
@@ -1591,48 +1668,53 @@ mod tests {
     }
 
     #[test]
-    fn trace_matches_depgraph_shape() {
-        // The same program driven through DepGraph and ShardedEngine
-        // must yield the same task-graph text.
-        let run_sharded = || {
-            let e = ShardedEngine::new();
-            e.enable_trace();
-            let a = e.create_object(TaskId::ROOT);
-            let (w, _) = create(&e, TaskId::ROOT, "w", |s| {
+    fn trace_lists_tasks_in_creation_order_with_their_predecessors() {
+        let e = ShardedEngine::new();
+        e.enable_trace();
+        let a = e.create_object(TaskId::ROOT);
+        let (w, _) = create(&e, TaskId::ROOT, "w", |s| {
+            s.wr(a);
+        });
+        create(&e, TaskId::ROOT, "r1", |s| {
+            s.rd(a);
+        });
+        create(&e, TaskId::ROOT, "r2", |s| {
+            s.rd(a);
+        });
+        e.start_task(w);
+        e.finish_task(w);
+        assert_eq!(e.take_trace().unwrap().to_text(), "w <- []\nr1 <- [w]\nr2 <- [w]\n");
+    }
+
+    #[test]
+    fn trace_edges_follow_creation_order_across_slot_reuse() {
+        let e = ShardedEngine::new();
+        e.enable_trace();
+        let a = e.create_object(TaskId::ROOT);
+        let (p, _) = create(&e, TaskId::ROOT, "p", |s| {
+            s.rd_wr(a);
+        });
+        e.start_task(p);
+        let mut kids = Vec::new();
+        for label in ["c1", "c2"] {
+            let (c, _) = create(&e, p, label, |s| {
                 s.wr(a);
             });
-            let (_r1, _) = create(&e, TaskId::ROOT, "r1", |s| {
-                s.rd(a);
-            });
-            let (_r2, _) = create(&e, TaskId::ROOT, "r2", |s| {
-                s.rd(a);
-            });
-            e.start_task(w);
-            e.finish_task(w);
-            e.take_trace().unwrap().to_text()
-        };
-        let run_graph = || {
-            let mut g = crate::graph::DepGraph::new();
-            g.enable_trace();
-            let a = g.create_object(TaskId::ROOT);
-            let (w, _) = g
-                .create_task(TaskId::ROOT, "w", decls(|s| {
-                    s.wr(a);
-                }), Placement::Any)
-                .unwrap();
-            g.create_task(TaskId::ROOT, "r1", decls(|s| {
-                s.rd(a);
-            }), Placement::Any)
-            .unwrap();
-            g.create_task(TaskId::ROOT, "r2", decls(|s| {
-                s.rd(a);
-            }), Placement::Any)
-            .unwrap();
-            g.start_task(w);
-            g.finish_task(w);
-            g.take_trace().unwrap().to_text()
-        };
-        assert_eq!(run_sharded(), run_graph());
+            e.start_task(c);
+            e.finish_task(c);
+            kids.push(c);
+        }
+        e.finish_task(p);
+        let (q, _) = create(&e, TaskId::ROOT, "q", |s| {
+            s.wr(a);
+        });
+        // Recycling hands the later task `q` a smaller id than `c2`.
+        assert!(q < kids[1], "{q:?} vs {:?}", kids[1]);
+        let tr = e.take_trace().unwrap();
+        let edges: Vec<(&str, &str)> =
+            tr.edges().iter().map(|ed| (tr.label(ed.from), tr.label(ed.to))).collect();
+        assert_eq!(edges, [("p", "c1"), ("c1", "c2"), ("c2", "q")]);
+        assert!(tr.to_dot().ends_with("  t1 -> t2;\n  t2 -> t3;\n  t3 -> t4;\n}\n"));
     }
 
     #[test]
@@ -1770,87 +1852,361 @@ mod tests {
     }
 
     #[test]
-    fn spec_cache_hits_on_repeated_identical_specs() {
-        let e = ShardedEngine::new();
-        let a = e.create_object(TaskId::ROOT);
-        // One scratch shared across attaches, like a pool worker.
-        let mut scratch = EngineScratch::default();
-        let mut chain = Vec::new();
-        for i in 0..8 {
-            let tid = e.alloc_task(TaskId::ROOT, &format!("w{i}"), Placement::Any);
-            e.attach_task_with(
-                tid,
-                &decls(|s| {
-                    s.wr(a);
-                }),
-                &mut scratch,
-            )
-            .unwrap();
-            scratch.wakes.clear();
-            chain.push(tid);
-        }
-        let snap = e.stats.snapshot();
-        assert_eq!(snap.spec_cache_hits, 7, "first attach misses, the rest hit");
-        assert_eq!(snap.declarations, 8, "hits still count declarations");
-        // Semantics unchanged: the writers still serialize in order.
-        for (i, &t) in chain.iter().enumerate() {
-            assert_eq!(
-                e.state(t),
-                if i == 0 { TaskState::Ready } else { TaskState::Pending },
-            );
-        }
-        for &t in &chain {
-            assert!(e.wait_until_ready(t));
-            e.start_task(t);
-            e.finish_task_with(t, &mut scratch);
-            scratch.wakes.clear();
-        }
-        assert_eq!(e.stats.snapshot().tasks_finished, 8);
+    fn path_order_rules() {
+        assert!(path_precedes(&[0], &[1]));
+        assert!(!path_precedes(&[1], &[0]));
+        assert!(path_precedes(&[0, 5], &[0])); // descendant before ancestor
+        assert!(!path_precedes(&[0], &[0, 5]));
+        assert!(path_precedes(&[0, 9], &[1, 0]));
+        assert!(!path_precedes(&[2], &[2]));
+        assert!(path_precedes(&[1], &[])); // everything precedes root
     }
 
     #[test]
-    fn spec_cache_invalidated_by_with_cont_retire() {
+    fn concurrent_readers_then_writer() {
         let e = ShardedEngine::new();
         let a = e.create_object(TaskId::ROOT);
-        let mut scratch = EngineScratch::default();
+        let (r1, _) = create(&e, TaskId::ROOT, "r1", |s| {
+            s.rd(a);
+        });
+        let (r2, _) = create(&e, TaskId::ROOT, "r2", |s| {
+            s.rd(a);
+        });
+        let (w, _) = create(&e, TaskId::ROOT, "w", |s| {
+            s.wr(a);
+        });
+        assert_eq!(e.state(r1), TaskState::Ready);
+        assert_eq!(e.state(r2), TaskState::Ready);
+        assert_eq!(e.state(w), TaskState::Pending);
+        e.start_task(r1);
+        e.start_task(r2);
+        assert!(e.finish_task(r1).is_empty());
+        assert_eq!(e.finish_task(r2), vec![Wake::Ready(w)]);
+    }
+
+    #[test]
+    fn hierarchical_children_precede_parent_remainder() {
+        let e = ShardedEngine::new();
+        let a = e.create_object(TaskId::ROOT);
         let (p, _) = create(&e, TaskId::ROOT, "parent", |s| {
             s.rd_wr(a);
         });
         e.start_task(p);
-        // Two identical child attaches: the second must hit the cache.
-        for i in 0..2 {
-            let c = e.alloc_task(p, &format!("c{i}"), Placement::Any);
-            e.attach_task_with(
-                c,
-                &decls(|s| {
-                    s.wr(a);
-                }),
-                &mut scratch,
-            )
-            .unwrap();
-            scratch.wakes.clear();
-            e.wait_until_ready(c);
-            e.start_task(c);
-            e.finish_task_with(c, &mut scratch);
-            scratch.wakes.clear();
-        }
-        assert_eq!(e.stats.snapshot().spec_cache_hits, 1);
-        // The parent retires its write side: a stale cache hit would
-        // now let an uncoverable child slip through validation.
-        e.with_cont_with(p, &[(a, ContOp::NoWr)], &mut scratch).unwrap();
-        scratch.wakes.clear();
-        let c = e.alloc_task(p, "uncovered", Placement::Any);
-        let err = e.attach_task_with(
-            c,
-            &decls(|s| {
-                s.wr(a);
-            }),
-            &mut scratch,
-        );
+        // Parent may write now.
+        assert!(e.is_granted(p, a, AccessKind::Write));
+        // Parent spawns a child writer: parent cedes access.
+        let (c, _) = create(&e, p, "child", |s| {
+            s.wr(a);
+        });
+        assert_eq!(e.state(c), TaskState::Ready);
+        assert!(!e.is_granted(p, a, AccessKind::Write));
+        // Parent attempting to write must wait for the child.
+        assert_eq!(e.check_access(p, a, AccessKind::Write).unwrap(), AccessStatus::MustWait);
+        e.start_task(c);
+        let wakes = e.finish_task(c);
+        assert!(wakes.contains(&Wake::Unblocked(p)));
+        assert!(e.is_granted(p, a, AccessKind::Write));
+    }
+
+    #[test]
+    fn deferred_read_pipeline() {
+        // The §4.2 backsubst pattern: a consumer with df_rd starts
+        // immediately, converts per column, and releases with no_rd.
+        let e = ShardedEngine::new();
+        let c0 = e.create_object(TaskId::ROOT);
+        let c1 = e.create_object(TaskId::ROOT);
+        let (f0, _) = create(&e, TaskId::ROOT, "factor0", |s| {
+            s.rd_wr(c0);
+        });
+        let (f1, _) = create(&e, TaskId::ROOT, "factor1", |s| {
+            s.rd_wr(c1);
+        });
+        let (b, wakes) = create(&e, TaskId::ROOT, "backsubst", |s| {
+            s.df_rd(c0);
+            s.df_rd(c1);
+        });
+        // Starts immediately despite factor0/1 still outstanding.
+        assert!(wakes.contains(&Wake::Ready(b)));
+        e.start_task(b);
+        // Convert c0: must block (factor0 unfinished).
+        let (blocked, _) = e.with_cont(b, vec![(c0, ContOp::ToRd)]).unwrap();
+        assert!(blocked);
+        e.start_task(f0);
+        let w = e.finish_task(f0);
+        assert!(w.contains(&Wake::Unblocked(b)));
+        assert_eq!(e.check_access(b, c0, AccessKind::Read).unwrap(), AccessStatus::Granted);
+        // Release c0 early; later writers of c0 would now be free.
+        let (blocked2, _) = e.with_cont(b, vec![(c0, ContOp::NoRd)]).unwrap();
+        assert!(!blocked2);
+        // Accessing after retirement is an error.
+        assert!(matches!(
+            e.check_access(b, c0, AccessKind::Read),
+            Err(JadeError::RetiredAccess { .. })
+        ));
+        e.start_task(f1);
+        e.finish_task(f1);
+        let (blocked3, _) = e.with_cont(b, vec![(c1, ContOp::ToRd)]).unwrap();
+        assert!(!blocked3, "factor1 already done; no wait");
+    }
+
+    #[test]
+    fn no_wr_releases_successor_before_completion() {
+        let e = ShardedEngine::new();
+        let a = e.create_object(TaskId::ROOT);
+        let (w, _) = create(&e, TaskId::ROOT, "w", |s| {
+            s.rd_wr(a);
+        });
+        let (r, _) = create(&e, TaskId::ROOT, "r", |s| {
+            s.rd(a);
+        });
+        assert_eq!(e.state(r), TaskState::Pending);
+        e.start_task(w);
+        // Writer finishes with the object mid-body and releases it.
+        let (_, wakes) = e.with_cont(w, vec![(a, ContOp::NoWr), (a, ContOp::NoRd)]).unwrap();
+        assert!(wakes.contains(&Wake::Ready(r)), "reader released before writer completes");
+    }
+
+    #[test]
+    fn undeclared_access_is_error() {
+        let e = ShardedEngine::new();
+        let a = e.create_object(TaskId::ROOT);
+        let b = e.create_object(TaskId::ROOT);
+        let (t, _) = create(&e, TaskId::ROOT, "t", |s| {
+            s.rd(a);
+        });
+        e.start_task(t);
+        assert!(matches!(
+            e.check_access(t, b, AccessKind::Read),
+            Err(JadeError::UndeclaredAccess { .. })
+        ));
+        // Declared read does not allow write.
+        assert!(matches!(
+            e.check_access(t, a, AccessKind::Write),
+            Err(JadeError::UndeclaredAccess { .. })
+        ));
+    }
+
+    #[test]
+    fn deferred_access_without_conversion_is_error() {
+        let e = ShardedEngine::new();
+        let a = e.create_object(TaskId::ROOT);
+        let (t, _) = create(&e, TaskId::ROOT, "t", |s| {
+            s.df_rd(a);
+        });
+        e.start_task(t);
+        assert!(matches!(
+            e.check_access(t, a, AccessKind::Read),
+            Err(JadeError::DeferredAccess { .. })
+        ));
+    }
+
+    #[test]
+    fn object_created_by_task_is_initialized_by_it() {
+        let e = ShardedEngine::new();
+        let (t, _) = create(&e, TaskId::ROOT, "maker", |_| {});
+        e.start_task(t);
+        let o = e.create_object(t);
+        assert_eq!(e.check_access(t, o, AccessKind::Write).unwrap(), AccessStatus::Granted);
+        // Its child may use it (covered by the implicit rd_wr).
+        let (c, _) = create(&e, t, "kid", |s| {
+            s.rd(o);
+        });
+        assert_eq!(e.state(c), TaskState::Ready, "child inserts before creator; nothing earlier");
+    }
+
+    #[test]
+    fn sibling_order_through_anchors() {
+        // Two sibling subtrees touch an object only through their
+        // children; serial order between the cousins must hold.
+        let e = ShardedEngine::new();
+        let a = e.create_object(TaskId::ROOT);
+        let (p1, _) = create(&e, TaskId::ROOT, "p1", |s| {
+            s.rd_wr(a);
+        });
+        let (p2, _) = create(&e, TaskId::ROOT, "p2", |s| {
+            s.rd_wr(a);
+        });
+        assert_eq!(e.state(p1), TaskState::Ready);
+        assert_eq!(e.state(p2), TaskState::Pending);
+        e.start_task(p1);
+        // p1 spawns a writing child; p2 spawns one as well when it runs.
+        let (c1, _) = create(&e, p1, "c1", |s| {
+            s.wr(a);
+        });
+        assert_eq!(e.state(c1), TaskState::Ready);
+        e.start_task(c1);
+        e.finish_task(c1);
+        let w = e.finish_task(p1);
+        assert!(w.contains(&Wake::Ready(p2)));
+        e.start_task(p2);
+        let (c2, _) = create(&e, p2, "c2", |s| {
+            s.wr(a);
+        });
+        assert_eq!(e.state(c2), TaskState::Ready);
+    }
+
+    #[test]
+    fn trace_captures_cholesky_like_edges() {
+        let e = ShardedEngine::new();
+        e.enable_trace();
+        let c0 = e.create_object(TaskId::ROOT);
+        let c3 = e.create_object(TaskId::ROOT);
+        let (i0, _) = create(&e, TaskId::ROOT, "Internal(0)", |s| {
+            s.rd_wr(c0);
+        });
+        let (e03, _) = create(&e, TaskId::ROOT, "External(0->3)", |s| {
+            s.rd(c0);
+            s.rd_wr(c3);
+        });
+        let tr = e.take_trace().unwrap();
         assert!(
-            matches!(err, Err(JadeError::NotCovered { .. })),
-            "retire must invalidate the cached validation, got {err:?}"
+            tr.edges().iter().any(|ed| ed.from == i0 && ed.to == e03),
+            "External depends on Internal"
         );
-        assert_eq!(e.stats.snapshot().spec_cache_hits, 1, "no further hits after the retire");
+    }
+
+    #[test]
+    fn ready_wake_emitted_exactly_once() {
+        let e = ShardedEngine::new();
+        let a = e.create_object(TaskId::ROOT);
+        let b = e.create_object(TaskId::ROOT);
+        for decl_count in 1..=2 {
+            let (tid, wakes) = create(&e, TaskId::ROOT, "t", |s| {
+                s.rd_wr(a);
+                if decl_count == 2 {
+                    s.rd(b);
+                }
+            });
+            let ready_count =
+                wakes.iter().filter(|w| matches!(w, Wake::Ready(t) if *t == tid)).count();
+            assert_eq!(ready_count, 1, "decls={decl_count}: {wakes:?}");
+            e.start_task(tid);
+            e.finish_task(tid);
+        }
+    }
+
+    #[test]
+    fn no_cm_releases_exclusivity_early() {
+        let e = ShardedEngine::new();
+        let a = e.create_object(TaskId::ROOT);
+        let (t1, _) = create(&e, TaskId::ROOT, "acc1", |s| {
+            s.cm(a);
+        });
+        let (t2, _) = create(&e, TaskId::ROOT, "acc2", |s| {
+            s.cm(a);
+        });
+        e.start_task(t1);
+        e.start_task(t2);
+        assert_eq!(e.check_access(t1, a, AccessKind::Commute).unwrap(), AccessStatus::Granted);
+        assert_eq!(e.check_access(t2, a, AccessKind::Commute).unwrap(), AccessStatus::MustWait);
+        // t1 releases with no_cm while still running: t2 proceeds.
+        let (_, wakes) = e.with_cont(t1, vec![(a, ContOp::NoCm)]).unwrap();
+        assert!(wakes.contains(&Wake::Unblocked(t2)));
+        // Accessing after no_cm is an error.
+        assert!(matches!(
+            e.check_access(t1, a, AccessKind::Commute),
+            Err(JadeError::RetiredAccess { .. })
+        ));
+    }
+
+    #[test]
+    fn commute_waits_for_writer_and_blocks_writer() {
+        let e = ShardedEngine::new();
+        let a = e.create_object(TaskId::ROOT);
+        let (w, _) = create(&e, TaskId::ROOT, "w", |s| {
+            s.wr(a);
+        });
+        let (c, _) = create(&e, TaskId::ROOT, "c", |s| {
+            s.cm(a);
+        });
+        let (w2, _) = create(&e, TaskId::ROOT, "w2", |s| {
+            s.wr(a);
+        });
+        assert_eq!(e.state(w), TaskState::Ready);
+        assert_eq!(e.state(c), TaskState::Pending, "commute waits for earlier writer");
+        assert_eq!(e.state(w2), TaskState::Pending, "write waits for earlier commute");
+        e.start_task(w);
+        let wk = e.finish_task(w);
+        assert!(wk.contains(&Wake::Ready(c)));
+        e.start_task(c);
+        let wk2 = e.finish_task(c);
+        assert!(wk2.contains(&Wake::Ready(w2)));
+    }
+
+    #[test]
+    fn parent_write_covers_child_commute() {
+        let e = ShardedEngine::new();
+        let a = e.create_object(TaskId::ROOT);
+        let (p, _) = create(&e, TaskId::ROOT, "p", |s| {
+            s.rd_wr(a);
+        });
+        e.start_task(p);
+        let kid = e.alloc_task(p, "kid", Placement::Any);
+        assert!(e.attach_task(kid, decls(|s| {
+            s.cm(a);
+        }))
+        .is_ok());
+        // But a read-only parent does not cover a commuting child.
+        let b = e.create_object(TaskId::ROOT);
+        let (q, _) = create(&e, TaskId::ROOT, "q", |s| {
+            s.rd(b);
+        });
+        e.start_task(q);
+        let bad = e.alloc_task(q, "bad-kid", Placement::Any);
+        assert!(matches!(
+            e.attach_task(bad, decls(|s| {
+                s.cm(b);
+            })),
+            Err(JadeError::NotCovered { .. })
+        ));
+    }
+
+    #[test]
+    fn stats_track_engine_work() {
+        let e = ShardedEngine::new();
+        let a = e.create_object(TaskId::ROOT);
+        let (t, _) = create(&e, TaskId::ROOT, "t", |s| {
+            s.rd_wr(a);
+        });
+        e.start_task(t);
+        e.check_access(t, a, AccessKind::Read).unwrap();
+        e.finish_task(t);
+        let s = e.stats.snapshot();
+        assert_eq!(s.tasks_created, 1);
+        assert_eq!(s.objects_created, 1);
+        assert!(s.access_checks >= 1);
+        assert_eq!(e.live_tasks(), 0);
+    }
+
+    #[test]
+    fn declarations_of_lists_declared_rights_without_anchors() {
+        let e = ShardedEngine::new();
+        let a = e.create_object(TaskId::ROOT);
+        let b = e.create_object(TaskId::ROOT);
+        let (p, _) = create(&e, TaskId::ROOT, "p", |s| {
+            s.rd_wr(a);
+            s.df_rd(b);
+        });
+        assert_eq!(
+            e.declarations_of(p),
+            vec![(a, DeclRights::RD_WR), (b, DeclRights::DF_RD)]
+        );
+        // The root holds its implicit deferred rd_wr on every object.
+        assert_eq!(e.declarations_of(TaskId::ROOT).len(), 2);
+    }
+
+    #[test]
+    fn slab_segments_cover_positions_contiguously() {
+        let mut next = 0;
+        for pos in 0..10_000 {
+            let (seg, off) = segment_of(pos);
+            if off == 0 {
+                assert_eq!(pos, next, "segment {seg} starts where the last ended");
+                next += SEG0 << seg;
+            }
+            assert!(off < SEG0 << seg);
+        }
+        let last = (u32::MAX as usize) / TASK_SHARDS;
+        assert!(segment_of(last).0 < SEGMENTS, "every 32-bit slot index has a segment");
     }
 }

@@ -16,10 +16,11 @@
 //!   `no_rd`/`no_wr`), and the [`JadeCtx`](ctx::JadeCtx) trait with
 //!   `withonly` and `with_cont`;
 //! * the dependency engine — per-object serial-order declaration
-//!   queues ([`queue`]) and the task state machine ([`graph`]) that
-//!   decides which tasks may run;
+//!   queues ([`queue`]) and the task state machine
+//!   ([`engine::ShardedEngine`]) that decides which tasks may run,
+//!   shared by every backend;
 //! * dynamic access checking (guards in [`ctx`], checks in
-//!   [`graph::DepGraph::check_access`]);
+//!   [`engine::ShardedEngine::check_access`]);
 //! * type-erased object storage with heterogeneous marshalling
 //!   ([`store`]), built on `jade-transport`;
 //! * the serial elision executor ([`serial`]) — the reference
@@ -62,7 +63,6 @@ pub mod error;
 pub mod macros;
 pub mod engine;
 pub mod fasthash;
-pub mod graph;
 pub mod handle;
 pub mod ir;
 pub mod kernels;

@@ -493,18 +493,6 @@ impl QueueArena {
         }
     }
 
-    /// [`recompute`](Self::recompute) over the changed prefix only —
-    /// the `Granted`-shaped view of
-    /// [`recompute_diff_incremental`](Self::recompute_diff_incremental),
-    /// under the same contract.
-    pub fn recompute_incremental(&mut self, object: ObjectId, fresh: &[NodeRef]) -> Vec<Granted> {
-        self.recompute_diff_incremental(object, fresh)
-            .into_iter()
-            .filter(|t| t.granted)
-            .map(|t| Granted { task: t.task, object: t.object, kind: t.kind })
-            .collect()
-    }
-
     /// Tasks with active declarations that precede `r` and conflict
     /// with an access of kind `kind` by `r`'s task — the dynamic
     /// dependence edges of the task graph (Figure 4).

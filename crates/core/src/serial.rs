@@ -17,8 +17,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use crate::ctx::{take_violation, violation, HoldSet, JadeCtx, ReadGuard, WriteGuard};
+use crate::engine::{AccessStatus, EngineScratch, ShardedEngine, Wake};
 use crate::error::JadeFault;
-use crate::graph::{AccessStatus, DepGraph, Wake};
 use crate::handle::{Object, Shared};
 use crate::ids::TaskId;
 use crate::observe::{Event, EventKind, ObserverHub};
@@ -30,7 +30,8 @@ use crate::trace::TaskGraphTrace;
 
 /// Execution context for the serial elision.
 pub struct SerialCtx {
-    engine: DepGraph,
+    engine: ShardedEngine,
+    scratch: EngineScratch,
     store: ObjectStore,
     current: TaskId,
     holds: Vec<(TaskId, HoldSet)>,
@@ -47,12 +48,13 @@ struct SerialCancelMarker;
 
 impl SerialCtx {
     fn new(trace: bool, hub: ObserverHub) -> Self {
-        let mut engine = DepGraph::new();
+        let engine = ShardedEngine::new();
         if trace {
             engine.enable_trace();
         }
         SerialCtx {
             engine,
+            scratch: EngineScratch::default(),
             store: ObjectStore::new(),
             current: TaskId::ROOT,
             holds: vec![(TaskId::ROOT, HoldSet::new())],
@@ -79,7 +81,7 @@ impl SerialCtx {
 
     /// Engine statistics accumulated so far.
     pub fn stats(&self) -> RuntimeStats {
-        self.engine.stats
+        self.engine.stats.snapshot()
     }
 }
 
@@ -88,8 +90,7 @@ impl SerialCtx {
 pub fn run<R>(program: impl FnOnce(&mut SerialCtx) -> R) -> (R, RuntimeStats) {
     let mut ctx = SerialCtx::new(false, ObserverHub::inactive());
     let r = program(&mut ctx);
-    let stats = ctx.engine.stats;
-    (r, stats)
+    (r, ctx.stats())
 }
 
 /// Run serially with dynamic task-graph capture (Figure 4).
@@ -123,7 +124,7 @@ impl Runtime for SerialRuntime {
         match catch_unwind(AssertUnwindSafe(|| program(&mut ctx))) {
             Ok(result) => {
                 let elapsed = ctx.t0.elapsed().as_nanos() as u64;
-                let stats = ctx.engine.stats;
+                let stats = ctx.stats();
                 let trace = ctx.engine.take_trace();
                 let hub = std::mem::replace(&mut ctx.hub, ObserverHub::inactive());
                 let arts = hub.finish(elapsed.max(1));
@@ -187,12 +188,12 @@ impl JadeCtx for SerialCtx {
                 });
             }
         }
-        let (tid, wakes) = self
-            .engine
-            .create_task(self.current, label, decls, placement)
+        let tid = self.engine.alloc_task(self.current, label, placement);
+        self.engine
+            .attach_task_with(tid, &decls, &mut self.scratch)
             .unwrap_or_else(|e| violation(e));
         debug_assert!(
-            wakes.contains(&Wake::Ready(tid)),
+            self.scratch.wakes.contains(&Wake::Ready(tid)),
             "serial elision: every earlier task already completed, so the new task \
              must be immediately ready"
         );
@@ -213,7 +214,7 @@ impl JadeCtx for SerialCtx {
         let (_, holds) = self.holds.pop().expect("frame pushed above");
         debug_assert!(!holds.any_held(), "task body leaked an access guard");
         self.current = saved;
-        self.engine.finish_task(tid);
+        self.engine.finish_task_with(tid, &mut self.scratch);
         if self.hub.is_active() {
             self.emit(tid, EventKind::TaskFinished { worker: 0 });
         }
@@ -225,9 +226,9 @@ impl JadeCtx for SerialCtx {
     {
         let mut builder = ContBuilder::new();
         changes(&mut builder);
-        let (must_block, _wakes) = self
+        let must_block = self
             .engine
-            .with_cont(self.current, builder.build())
+            .with_cont_with(self.current, &builder.build(), &mut self.scratch)
             .unwrap_or_else(|e| violation(e));
         debug_assert!(
             !must_block,

@@ -1057,12 +1057,19 @@ mod tests {
         assert_eq!(rep.status, JobStatus::Queued);
         assert_eq!(rep.run_nanos, 0);
 
-        // Serial jobs have no mid-run cancellation point inside a
-        // blocked body, so release the blocker before aborting; the
-        // queued job is revoked without ever running.
+        // The blocker holds the only slot until `abort` has revoked the
+        // queued job, so the job can never be dispatched first. Serial
+        // jobs have no mid-run cancellation point inside a blocked
+        // body, so `abort` runs on its own thread and waits for the
+        // blocker, which is released once the revocation is visible.
+        let session = Arc::into_inner(session).expect("sole owner");
+        let aborter = std::thread::spawn(move || session.abort().stats);
+        while queued.status() == JobStatus::Queued {
+            std::thread::yield_now();
+        }
         release.send(()).unwrap();
+        let stats = aborter.join().unwrap();
         blocker.wait().unwrap();
-        let stats = Arc::into_inner(session).expect("sole owner").abort().stats;
         assert_eq!(stats.cancelled, 1);
         assert_eq!(stats.completed, 1);
         assert!(stats.is_settled());

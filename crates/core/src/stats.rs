@@ -39,10 +39,9 @@ pub struct RuntimeStats {
     /// the ready-queue/condvar round trip (rayon-style continuation
     /// stealing). Schedule-dependent; zero on serial backends.
     pub cont_steals: u64,
-    /// `attach_task` spec-hash cache hits: a task's `Declaration`
-    /// vector matched a previously validated spec from the same parent,
-    /// so coverage checking and parent-node lookup were skipped.
-    /// Schedule-dependent (per-worker caches); zero on serial backends.
+    /// Hits of the former `attach_task` spec-hash cache. The cache was
+    /// removed (it measured no effect), so this always reads 0; the
+    /// field stays for readers of the report format.
     pub spec_cache_hits: u64,
     /// Guard acquisitions served from the task's own grant memo
     /// instead of the engine's shard lock table (single-owner fast

@@ -26,6 +26,20 @@ pub struct TraceEdge {
     pub kind: AccessKind,
 }
 
+/// Display numbers for tasks, given in creation order: the root keeps
+/// [`TaskId::ROOT`] and the n-th other task becomes `TaskId(n)`.
+/// Engine ids name recycled slab slots (index plus generation), so
+/// every rendered trace and log numbers tasks through this one map —
+/// the same numbering for every backend and allocation pattern.
+pub fn creation_numbers(order: impl IntoIterator<Item = TaskId>) -> HashMap<TaskId, TaskId> {
+    order
+        .into_iter()
+        .filter(|t| !t.is_root())
+        .zip(1..)
+        .map(|(t, n)| (t, TaskId(n)))
+        .collect()
+}
+
 /// A captured dynamic task graph.
 #[derive(Debug, Default, Clone)]
 pub struct TaskGraphTrace {
@@ -158,19 +172,22 @@ impl TaskGraphTrace {
     }
 
     /// Render as Graphviz DOT (used by the Fig 4 binary).
+    /// Tasks are numbered in creation order ([`creation_numbers`]).
     pub fn to_dot(&self) -> String {
+        let numbers = creation_numbers(self.order.iter().copied());
+        let num = |t: TaskId| numbers.get(&t).map_or(t.0, |n| n.0);
         let mut s = String::from("digraph jade_tasks {\n  rankdir=TB;\n");
         for &t in &self.order {
             if t.is_root() {
                 continue;
             }
-            let _ = writeln!(s, "  t{} [label=\"{}\"];", t.0, self.label(t));
+            let _ = writeln!(s, "  t{} [label=\"{}\"];", num(t), self.label(t));
         }
         for e in &self.edges {
             if e.from.is_root() || e.to.is_root() {
                 continue;
             }
-            let _ = writeln!(s, "  t{} -> t{};", e.from.0, e.to.0);
+            let _ = writeln!(s, "  t{} -> t{};", num(e.from), num(e.to));
         }
         s.push_str("}\n");
         s

@@ -1,6 +1,6 @@
 //! Model-checking the dependency engine against its specification.
 //!
-//! An adversarial executor drives [`DepGraph`] through random
+//! An adversarial executor drives [`ShardedEngine`] through random
 //! interleavings of create/start/access/finish for random flat task
 //! sets, checking after every step:
 //!
@@ -14,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use jade_core::graph::{AccessStatus, DepGraph, TaskState, Wake};
+use jade_core::engine::{AccessStatus, ShardedEngine, TaskState, Wake};
 use jade_core::ids::{ObjectId, Placement, TaskId};
 use jade_core::spec::{AccessKind, Declaration, SpecBuilder};
 
@@ -95,7 +95,7 @@ proptest! {
             })
             .collect();
 
-        let mut engine = DepGraph::new();
+        let engine = ShardedEngine::new();
         let objs: Vec<ObjectId> =
             (0..n_objects).map(|_| engine.create_object(TaskId::ROOT)).collect();
 
@@ -148,9 +148,8 @@ proptest! {
                 let i = next_create;
                 next_create += 1;
                 let decls = build_decls(&plans[i], &objs);
-                let (tid, wakes) = engine
-                    .create_task(TaskId::ROOT, &format!("t{i}"), decls, Placement::Any)
-                    .unwrap();
+                let tid = engine.alloc_task(TaskId::ROOT, &format!("t{i}"), Placement::Any);
+                let wakes = engine.attach_task(tid, decls).unwrap();
                 ids[i] = Some(tid);
                 state[i] = St::Waiting;
                 // wakes may include Ready for this task (tracked via engine.state)
@@ -263,9 +262,8 @@ proptest! {
                 let i = next_create;
                 next_create += 1;
                 let decls = build_decls(&plans[i], &objs);
-                let (tid, _) = engine
-                    .create_task(TaskId::ROOT, &format!("t{i}"), decls, Placement::Any)
-                    .unwrap();
+                let tid = engine.alloc_task(TaskId::ROOT, &format!("t{i}"), Placement::Any);
+                engine.attach_task(tid, decls).unwrap();
                 ids[i] = Some(tid);
                 state[i] = St::Waiting;
                 continue;

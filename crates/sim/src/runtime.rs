@@ -4,7 +4,7 @@
 //! heterogeneous message-passing platform, implementing the runtime
 //! responsibilities the paper lists in §5:
 //!
-//! * **Parallel execution** — the shared [`DepGraph`] engine decides
+//! * **Parallel execution** — the shared [`ShardedEngine`] decides
 //!   which tasks may run; ready tasks are distributed over machines.
 //! * **Object management** — the [`ObjDirectory`] moves/copies object
 //!   versions; every transfer passes through the typed transport with
@@ -29,7 +29,7 @@ use std::sync::Arc;
 use crossbeam::channel::bounded;
 use jade_core::ctx::{violation, HoldSet, JadeCtx, ReadGuard, WriteGuard};
 use jade_core::error::{JadeError, JadeFault};
-use jade_core::graph::{AccessStatus, DepGraph, Wake};
+use jade_core::engine::{AccessStatus, ShardedEngine, Wake};
 use jade_core::handle::{Object, Shared};
 use jade_core::ids::{ObjectId, TaskId};
 use jade_core::observe::{Event as ObsEvent, EventKind as ObsKind, ObserverArtifacts, ObserverHub};
@@ -232,7 +232,7 @@ struct Loop {
     cfg: SimConfig,
     now: SimTime,
     events: EventQueue,
-    engine: DepGraph,
+    engine: ShardedEngine,
     net: Box<dyn NetworkModel>,
     mach: Vec<Mach>,
     stores: Vec<ObjectStore>,
@@ -296,7 +296,7 @@ impl Loop {
     ) -> (SimReport, Option<Poison>, bool, ObserverArtifacts) {
         let n = cfg.platform.len();
         assert!(n > 0, "platform needs at least one machine");
-        let mut engine = DepGraph::new();
+        let engine = ShardedEngine::new();
         if cfg.trace {
             engine.enable_trace();
         }
@@ -427,26 +427,7 @@ impl Loop {
             self.procs.clear();
         }
 
-        let labels: HashMap<TaskId, String> = self
-            .log
-            .events()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                SimEventKind::TaskCreated { task, label, .. } => Some((*task, label.clone())),
-                _ => None,
-            })
-            .collect();
-        let log_text = if self.cfg.log {
-            Some(self.log.render(|t| {
-                if t.is_root() {
-                    "root".to_string()
-                } else {
-                    labels.get(&t).cloned().unwrap_or_else(|| "?".to_string())
-                }
-            }))
-        } else {
-            None
-        };
+        let log_text = self.cfg.log.then(|| self.log.render());
         let mut net = self.net.stats();
         if let Some(inj) = &self.injector {
             net.retransmits = inj.retransmits;
@@ -457,7 +438,7 @@ impl Loop {
             platform: self.cfg.platform.name.clone(),
             machines: self.cfg.platform.len(),
             time: self.now,
-            stats: self.engine.stats,
+            stats: self.engine.stats.snapshot(),
             net,
             traffic: self.traffic,
             faults: self.fstats,
@@ -716,9 +697,10 @@ impl Loop {
                     resp = ProcResp::Created(oid);
                 }
                 ProcReq::Withonly { label, decls, placement, body } => {
-                    match self.engine.create_task(tid, &label, decls, placement) {
+                    let new = self.engine.alloc_task(tid, &label, placement);
+                    match self.engine.attach_task(new, decls) {
                         Err(e) => resp = ProcResp::Violation(e),
-                        Ok((new, wakes)) => {
+                        Ok(wakes) => {
                             let m = self.machine_of(tid);
                             self.unfinished += 1;
                             self.creator_machine.insert(new, m);

@@ -3,9 +3,11 @@
 //! message-passing machines (task shipping, object moves/copies,
 //! latency hiding).
 
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use jade_core::ids::{ObjectId, TaskId};
+use jade_core::trace::creation_numbers;
 
 use crate::time::SimTime;
 
@@ -137,36 +139,56 @@ impl SimLog {
         &self.events
     }
 
-    /// Render the log as a Figure 7-style narrative.
-    pub fn render(&self, labels: impl Fn(TaskId) -> String) -> String {
+    /// Render the log as a Figure 7-style narrative. Tasks are shown by
+    /// creation number and label, both taken from the log's own
+    /// creation events (engine ids name recycled slab slots).
+    pub fn render(&self) -> String {
+        let created: Vec<(TaskId, &str)> = self
+            .events
+            .iter()
+            .filter_map(|(_, e)| match e {
+                SimEventKind::TaskCreated { task, label, .. } => Some((*task, label.as_str())),
+                _ => None,
+            })
+            .collect();
+        let numbers = creation_numbers(created.iter().map(|&(t, _)| t));
+        let labels: HashMap<TaskId, &str> = created.into_iter().collect();
+        let id = |t: TaskId| numbers.get(&t).copied().unwrap_or(t);
+        let label = |t: TaskId| {
+            if t.is_root() {
+                "root"
+            } else {
+                labels.get(&t).copied().unwrap_or("?")
+            }
+        };
         let mut s = String::new();
         for (t, e) in &self.events {
             let line = match e {
                 SimEventKind::TaskCreated { task, label, machine } => {
-                    format!("machine {machine} creates task {} [{label}]", task)
+                    format!("machine {machine} creates task {} [{label}]", id(*task))
                 }
                 SimEventKind::TaskAssigned { task, from, to } => {
                     if from == to {
-                        format!("task {} [{}] assigned locally to machine {to}", task, labels(*task))
+                        format!("task {} [{}] assigned locally to machine {to}", id(*task), label(*task))
                     } else {
                         format!(
                             "task {} [{}] moved from machine {from} to idle machine {to}",
-                            task,
-                            labels(*task)
+                            id(*task),
+                            label(*task)
                         )
                     }
                 }
                 SimEventKind::TaskStarted { task, machine } => {
-                    format!("machine {machine} starts task {} [{}]", task, labels(*task))
+                    format!("machine {machine} starts task {} [{}]", id(*task), label(*task))
                 }
                 SimEventKind::TaskFinished { task, machine } => {
-                    format!("machine {machine} finishes task {} [{}]", task, labels(*task))
+                    format!("machine {machine} finishes task {} [{}]", id(*task), label(*task))
                 }
                 SimEventKind::TaskBlocked { task } => {
-                    format!("task {} [{}] suspends (waiting on earlier task)", task, labels(*task))
+                    format!("task {} [{}] suspends (waiting on earlier task)", id(*task), label(*task))
                 }
                 SimEventKind::TaskResumed { task } => {
-                    format!("task {} [{}] resumes", task, labels(*task))
+                    format!("task {} [{}] resumes", id(*task), label(*task))
                 }
                 SimEventKind::ObjectMoved { object, from, to, bytes, converted } => format!(
                     "{object} moved machine {from} -> {to} ({bytes} bytes{}); old version invalidated",
@@ -178,8 +200,8 @@ impl SimLog {
                 ),
                 SimEventKind::FetchPending { task, object } => format!(
                     "task {} [{}] waits for {object} in transit (latency hidden by other tasks)",
-                    task,
-                    labels(*task)
+                    id(*task),
+                    label(*task)
                 ),
                 SimEventKind::MachineCrashed { machine } => format!(
                     "machine {machine} crashes (transient); queued tasks will re-execute elsewhere"
@@ -189,8 +211,8 @@ impl SimLog {
                 }
                 SimEventKind::TaskReassigned { task, from } => format!(
                     "task {} [{}] recovered from crashed machine {from} for re-execution",
-                    task,
-                    labels(*task)
+                    id(*task),
+                    label(*task)
                 ),
             };
             let _ = writeln!(s, "[{t:>12}] {line}");
@@ -231,7 +253,8 @@ mod tests {
                 converted: true,
             },
         );
-        let out = log.render(|_| "Internal(0)".to_string());
+        let out = log.render();
+        assert!(out.contains("task task#1 [Internal(0)] moved"));
         assert!(out.contains("creates task"));
         assert!(out.contains("moved from machine 0 to idle machine 1"));
         assert!(out.contains("format-converted"));

@@ -39,9 +39,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use jade_core::ctx::{take_violation, violation, HoldSet, JadeCtx, ReadGuard, WriteGuard};
-use jade_core::engine::{EngineScratch, ShardedEngine};
+use jade_core::engine::{AccessStatus, EngineScratch, ShardedEngine, Wake};
 use jade_core::error::{JadeError, JadeFault};
-use jade_core::graph::{AccessStatus, Wake};
 use jade_core::handle::{Object, Shared};
 use jade_core::ids::{Placement, TaskId};
 use jade_core::ir::TaskBodyIr;
