@@ -26,7 +26,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use crossbeam::channel::bounded;
 use jade_core::ctx::{violation, HoldSet, JadeCtx, ReadGuard, WriteGuard};
 use jade_core::error::{JadeError, JadeFault};
 use jade_core::engine::{AccessStatus, ShardedEngine, Wake};
@@ -45,7 +44,7 @@ use crate::faults::{FaultInjector, FaultPlan, FaultStats};
 use crate::network::NetworkModel;
 use crate::objmgr::{Granularity, ObjDirectory, CTRL_BYTES};
 use crate::platform::Platform;
-use crate::proc::{spawn_proc, ProcChannels, ProcHandle, ProcReq, ProcResp, SimBody};
+use crate::proc::{ProcChannels, ProcPool, ProcReq, ProcResp, SimBody};
 use crate::report::{ObjTraffic, SimReport};
 use crate::sched::{affinity, choose, eligible, Candidate};
 use crate::time::{SimSpan, SimTime};
@@ -172,7 +171,7 @@ impl SimExecutor {
         R: Send + 'static,
         F: FnOnce(&mut SimCtx) -> R + Send + 'static,
     {
-        let (tx, rx) = bounded::<R>(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<R>(1);
         let body: SimBody = Box::new(move |ctx| {
             let r = program(ctx);
             let _ = tx.send(r);
@@ -237,7 +236,7 @@ struct Loop {
     mach: Vec<Mach>,
     stores: Vec<ObjectStore>,
     dir: ObjDirectory,
-    procs: HashMap<TaskId, ProcHandle>,
+    procs: ProcPool,
     bodies: HashMap<TaskId, SimBody>,
     ready_pool: FifoReadyQueue,
     assigned: HashMap<TaskId, usize>,
@@ -317,7 +316,7 @@ impl Loop {
                 .collect(),
             stores: (0..n).map(|_| ObjectStore::new()).collect(),
             dir: ObjDirectory::new(cfg.granularity),
-            procs: HashMap::new(),
+            procs: ProcPool::new(n),
             bodies: HashMap::new(),
             ready_pool: FifoReadyQueue::new(),
             assigned: HashMap::new(),
@@ -355,8 +354,7 @@ impl Loop {
         self.assigned.insert(TaskId::ROOT, 0);
         self.mach[0].load += 1;
         self.mach[0].running += 1;
-        self.procs
-            .insert(TaskId::ROOT, spawn_proc(TaskId::ROOT, self.cfg.platform.len(), root_body));
+        self.procs.start(TaskId::ROOT, root_body);
         self.drive(TaskId::ROOT, ProcResp::Proceed);
         self.flush_dispatch();
 
@@ -379,7 +377,7 @@ impl Loop {
             self.now = t;
             match ev {
                 EventKind::Resume(tid) => {
-                    if self.procs.contains_key(&tid) {
+                    if self.procs.is_live(tid) {
                         self.drive(tid, ProcResp::Proceed);
                     }
                 }
@@ -421,11 +419,11 @@ impl Loop {
             self.flush_dispatch();
         }
 
-        if self.poison.is_some() || self.cancelled {
-            // Drop all task processes so their threads unwind; the
-            // caller decides whether to panic or return a typed fault.
-            self.procs.clear();
-        }
+        // End every task process before returning: after a poison or a
+        // cancel, suspended bodies unwind here rather than outliving the
+        // run, and idle threads are joined either way. The caller
+        // decides whether to panic or return a typed fault.
+        self.procs.shutdown();
 
         let log_text = self.cfg.log.then(|| self.log.render());
         let mut net = self.net.stats();
@@ -538,7 +536,7 @@ impl Loop {
         let has_ctx = self.mach[m].running != 0
             || self.mach[m].active.is_some()
             || !self.mach[m].runq.is_empty()
-            || self.procs.keys().any(|t| self.assigned.get(t) == Some(&m));
+            || self.procs.live_tasks().any(|t| self.assigned.get(&t) == Some(&m));
         if has_ctx {
             return false;
         }
@@ -681,7 +679,7 @@ impl Loop {
             if self.poison.is_some() {
                 return;
             }
-            let req = self.procs.get(&tid).expect("driving a live process").step(resp);
+            let req = self.procs.step(tid, resp);
             match req {
                 ProcReq::Charge(work) => {
                     let m = self.machine_of(tid);
@@ -866,7 +864,7 @@ impl Loop {
     }
 
     fn on_fetches_done(&mut self, t: TaskId) {
-        if !self.procs.contains_key(&t) {
+        if !self.procs.is_live(t) {
             // Pre-start fetches complete: the machine may start it.
             if let Some(&m) = self.assigned.get(&t) {
                 self.events.push(self.now, EventKind::TryStart(m));
@@ -901,7 +899,7 @@ impl Loop {
             }
         }
         let wakes = self.engine.finish_task(tid);
-        self.procs.remove(&tid);
+        self.procs.finish(tid);
         self.mach[m].load -= 1;
         self.mach[m].running -= 1;
         self.log.push(self.now, SimEventKind::TaskFinished { task: tid, machine: m });
@@ -1119,7 +1117,7 @@ impl Loop {
         self.log.push(self.now, SimEventKind::TaskStarted { task: t, machine: m });
         self.observe(t, ObsKind::TaskStarted { worker: m });
         let body = self.bodies.remove(&t).expect("starting task has a body");
-        self.procs.insert(t, spawn_proc(t, self.cfg.platform.len(), body));
+        self.procs.start(t, body);
         let span = self.cfg.platform.task_dispatch_overhead;
         self.enqueue_overhead(m, t, span);
     }
@@ -1222,9 +1220,11 @@ impl Loop {
     }
 }
 
-/// Execution context for simulated task bodies. Methods communicate
-/// with the event loop through the strict-alternation channel pair,
-/// so every operation happens at a well-defined simulated time.
+/// Execution context for simulated task bodies. Each started task gets
+/// a fresh context on a pooled task-process thread (see
+/// [`crate::proc`]); its methods communicate with the event loop through
+/// that process's strict-alternation channel pair, so every operation
+/// happens at a well-defined simulated time.
 pub struct SimCtx {
     task: TaskId,
     machines: usize,
@@ -1237,26 +1237,19 @@ impl SimCtx {
         SimCtx { task, machines, chans, holds: HoldSet::new() }
     }
 
-    pub(crate) fn wait_go(&mut self) -> Result<(), ()> {
-        match self.chans.resp_rx.recv() {
-            Ok(ProcResp::Proceed) => Ok(()),
-            _ => Err(()),
-        }
+    /// Give the channels back to the task process for its next task.
+    pub(crate) fn into_channels(self) -> ProcChannels {
+        self.chans
     }
 
     pub(crate) fn holds_any(&self) -> bool {
         self.holds.any_held()
     }
-
-    fn call(&mut self, req: ProcReq) -> ProcResp {
-        self.chans.req_tx.send(req).expect("simulator event loop gone");
-        self.chans.resp_rx.recv().expect("simulator event loop gone")
-    }
 }
 
 impl JadeCtx for SimCtx {
     fn create_named<T: Object>(&mut self, name: &str, value: T) -> Shared<T> {
-        match self.call(ProcReq::CreateObject {
+        match self.chans.call(ProcReq::CreateObject {
             name: name.to_string(),
             slot: Slot::new(name, value),
         }) {
@@ -1282,7 +1275,7 @@ impl JadeCtx for SimCtx {
                 });
             }
         }
-        match self.call(ProcReq::Withonly {
+        match self.chans.call(ProcReq::Withonly {
             label: label.to_string(),
             decls,
             placement,
@@ -1300,7 +1293,7 @@ impl JadeCtx for SimCtx {
     {
         let mut builder = ContBuilder::new();
         changes(&mut builder);
-        match self.call(ProcReq::WithCont(builder.build())) {
+        match self.chans.call(ProcReq::WithCont(builder.build())) {
             ProcResp::Proceed => {}
             ProcResp::Violation(e) => violation(e),
             other => panic!("unexpected response to WithCont: {other:?}"),
@@ -1308,7 +1301,7 @@ impl JadeCtx for SimCtx {
     }
 
     fn rd<T: Object>(&mut self, h: &Shared<T>) -> ReadGuard<T> {
-        match self.call(ProcReq::Access { object: h.id(), kind: AccessKind::Read }) {
+        match self.chans.call(ProcReq::Access { object: h.id(), kind: AccessKind::Read }) {
             ProcResp::Object(slot) => {
                 ReadGuard::new(slot.typed::<T>(), self.holds.acquire(h.id(), AccessKind::Read))
             }
@@ -1318,7 +1311,7 @@ impl JadeCtx for SimCtx {
     }
 
     fn wr<T: Object>(&mut self, h: &Shared<T>) -> WriteGuard<T> {
-        match self.call(ProcReq::Access { object: h.id(), kind: AccessKind::Write }) {
+        match self.chans.call(ProcReq::Access { object: h.id(), kind: AccessKind::Write }) {
             ProcResp::Object(slot) => {
                 WriteGuard::new(slot.typed::<T>(), self.holds.acquire(h.id(), AccessKind::Write))
             }
@@ -1328,7 +1321,7 @@ impl JadeCtx for SimCtx {
     }
 
     fn cm<T: Object>(&mut self, h: &Shared<T>) -> WriteGuard<T> {
-        match self.call(ProcReq::Access { object: h.id(), kind: AccessKind::Commute }) {
+        match self.chans.call(ProcReq::Access { object: h.id(), kind: AccessKind::Commute }) {
             ProcResp::Object(slot) => WriteGuard::new(
                 slot.typed::<T>(),
                 self.holds.acquire(h.id(), AccessKind::Commute),
@@ -1339,7 +1332,7 @@ impl JadeCtx for SimCtx {
     }
 
     fn charge(&mut self, work: f64) {
-        match self.call(ProcReq::Charge(work)) {
+        match self.chans.call(ProcReq::Charge(work)) {
             ProcResp::Proceed => {}
             other => panic!("unexpected response to Charge: {other:?}"),
         }
@@ -1378,7 +1371,7 @@ impl Runtime for SimExecutor {
             sim_cfg.throttle = Some(SuspendCreator { hi, lo });
         }
         let hub = cfg.take_hub();
-        let (tx, rx) = bounded::<R>(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<R>(1);
         let body: SimBody = Box::new(move |ctx| {
             let r = program(ctx);
             let _ = tx.send(r);

@@ -4,6 +4,8 @@
 
 #![deny(deprecated)]
 
+use std::sync::Arc;
+
 use jade_core::error::{JadeError, JadeFault};
 use jade_core::prelude::*;
 use jade_sim::{Granularity, Platform, SimExecutor, SimReport, SimTime};
@@ -561,6 +563,31 @@ fn execute_surfaces_task_panic_as_typed_fault() {
     match fault {
         JadeFault::TaskPanicked { message, .. } => assert!(message.contains("boom 77")),
         other => panic!("expected TaskPanicked, got {other:?}"),
+    }
+}
+
+#[test]
+fn failed_run_ends_suspended_task_bodies_before_returning() {
+    // A sleeper suspended in `charge` while a sibling panics: its body
+    // must be unwound, dropping what it captured, before `execute`
+    // returns the fault — not later, on a thread the run left behind.
+    let exec = SimExecutor::new(Platform::mica(2));
+    for run in 0..20 {
+        let token = Arc::new(());
+        let held = Arc::clone(&token);
+        let fault = exec
+            .execute(RunConfig::new(), move |ctx| {
+                ctx.withonly("sleeper", |_s| {}, move |c| {
+                    let _held = held;
+                    c.charge(1e9);
+                });
+                // Long enough for the sleeper to start on the other machine.
+                ctx.charge(1e6);
+                ctx.withonly("bomb", |_s| {}, |_c| panic!("boom"));
+            })
+            .expect_err("panicking task must fault");
+        assert!(matches!(fault, JadeFault::TaskPanicked { .. }), "run {run}: {fault:?}");
+        assert_eq!(Arc::strong_count(&token), 1, "run {run}: the sleeper's body outlived execute");
     }
 }
 
